@@ -7,7 +7,7 @@ import pytest
 from repro.core import FnbpSelector
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner
 from repro.routing import HopByHopRouter, advertise, optimal_route
-from repro.sim import OlsrSimulation
+from repro.protocol import ProtocolSimulator
 from repro.topology import FieldSpec, FixedCountNetworkGenerator, GridNetworkGenerator
 
 
@@ -54,8 +54,9 @@ def test_bench_link_state_route(benchmark):
     assert outcome.delivered
 
 
-def test_bench_protocol_simulation_convergence(benchmark):
-    """Full stack: HELLO exchange, selection, TC flooding and route computation on a grid."""
+@pytest.mark.parametrize("selector_name", ["fnbp", "olsr-mpr"])
+def test_bench_protocol_simulation_convergence(benchmark, selector_name):
+    """Full stack: HELLO exchange, selection, TC flooding and data forwarding on a grid."""
     metric = DelayMetric()
     network = GridNetworkGenerator(
         rows=5,
@@ -66,11 +67,11 @@ def test_bench_protocol_simulation_convergence(benchmark):
     ).generate()
 
     def run_simulation():
-        simulation = OlsrSimulation(network, metric, selector_factory=FnbpSelector, seed=1)
-        simulation.run_until_converged(20.0)
+        simulation = ProtocolSimulator(network, metric, selector_name=selector_name, seed=1)
+        simulation.run_until(20.0)
         return simulation
 
     simulation = benchmark.pedantic(run_simulation, rounds=1, iterations=1)
-    assert simulation.average_ans_size() > 0
+    assert any(simulation.ans_sets().values())
     report = simulation.send_data(0, 24)
     assert report.delivered

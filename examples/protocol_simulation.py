@@ -1,21 +1,22 @@
 #!/usr/bin/env python3
 """Run the full discrete-event protocol stack and watch FNBP work inside OLSR.
 
-The script simulates a 30-node network: every node periodically broadcasts HELLOs, learns
-its two-hop neighborhood, runs FNBP (plus the RFC 3626 MPR selection used for flooding),
-floods TC messages through the MPR backbone, builds its routing table from the advertised
-topology and finally forwards a few data packets.  The same scenario is then repeated with
-the original OLSR selection so the control-traffic and path-quality differences are visible.
+The script simulates a 30-node network over a lossless channel (the paper's ideal MAC
+layer): every node periodically broadcasts HELLOs, learns its two-hop neighborhood, runs
+FNBP (plus the RFC 3626 MPR selection used for flooding), floods TC messages through the
+MPR backbone, and finally forwards a few data packets hop by hop, each node computing its
+route from its own tables.  The same scenario is then repeated with the original OLSR
+selection so the control-traffic and path-quality differences are visible.
 
 Run with:  python examples/protocol_simulation.py
 """
 
 from __future__ import annotations
 
-from repro import BandwidthMetric, FnbpSelector, OlsrMprSelector
+from repro import BandwidthMetric
 from repro.metrics import UniformWeightAssigner
+from repro.protocol import ProtocolSimulator
 from repro.routing import optimal_route
-from repro.sim import OlsrSimulation
 from repro.topology import FieldSpec, FixedCountNetworkGenerator
 
 METRIC = BandwidthMetric()
@@ -33,12 +34,13 @@ def build_network():
     return generator.generate()
 
 
-def run_scenario(network, selector_factory, label: str):
+def run_scenario(network, selector_name: str, label: str):
     print(f"\n=== {label} ===")
-    simulation = OlsrSimulation(network, METRIC, selector_factory=selector_factory, seed=3)
-    simulation.run_until_converged(30.0)
+    simulation = ProtocolSimulator(network, METRIC, selector_name=selector_name, seed=3)
+    simulation.run_until(30.0)
 
-    print(f"mean advertised-set size : {simulation.average_ans_size():.2f} neighbors/node")
+    sets = simulation.ans_sets().values()
+    print(f"mean advertised-set size : {sum(map(len, sets)) / len(sets):.2f} neighbors/node")
     counts = simulation.control_message_counts()
     print(f"control traffic          : {counts['hellos_sent']} HELLOs, "
           f"{counts['tcs_sent']} TCs sent, {counts['tcs_forwarded']} TC retransmissions")
@@ -57,8 +59,8 @@ def run_scenario(network, selector_factory, label: str):
 def main() -> None:
     network = build_network()
     print("Network:", network.describe())
-    run_scenario(network, FnbpSelector, "FNBP (QoS advertised neighbor set)")
-    run_scenario(network, OlsrMprSelector, "Original OLSR (MPR set advertised)")
+    run_scenario(network, "fnbp", "FNBP (QoS advertised neighbor set)")
+    run_scenario(network, "olsr-mpr", "Original OLSR (MPR set advertised)")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from repro.olsr.messages import (
     LinkReport,
     Packet,
     TcMessage,
-    next_sequence_number,
 )
 from repro.olsr.mpr import coverage_map, mpr_selectors, rfc3626_mpr
 from repro.olsr.neighbor_table import NeighborEntry, NeighborTable, TwoHopEntry
@@ -25,7 +24,6 @@ __all__ = [
     "Packet",
     "LinkReport",
     "AdvertisedLink",
-    "next_sequence_number",
     "rfc3626_mpr",
     "coverage_map",
     "mpr_selectors",

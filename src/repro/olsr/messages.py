@@ -6,23 +6,19 @@ declared neighbor (so receivers can build a QoS-weighted two-hop view), and TC m
 the QoS of each advertised link.  Messages are immutable value objects; the simulator wraps
 them in :class:`Packet` envelopes that carry TTL/hop-count the way the OLSR packet header
 does.
+
+Every node numbers the messages it originates itself (RFC 3626 §3.4 Message Sequence
+Number), so ``(originator, sequence_number)`` identifies a message within one simulation
+and no number depends on what else ran in the process.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet, Mapping, Tuple
 
 from repro.olsr.constants import MAX_TTL
 from repro.utils.ids import NodeId
-
-_sequence_counter = itertools.count(1)
-
-
-def next_sequence_number() -> int:
-    """A process-wide monotonically increasing message sequence number."""
-    return next(_sequence_counter)
 
 
 @dataclass(frozen=True)
@@ -82,8 +78,13 @@ class DataPacket:
 
     source: NodeId
     destination: NodeId
+    sequence_number: int
     payload: object = None
-    identifier: int = field(default_factory=next_sequence_number)
+
+    @property
+    def identifier(self) -> Tuple[NodeId, int]:
+        """``(source, sequence_number)``: unique among one simulation's data packets."""
+        return (self.source, self.sequence_number)
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,18 @@
 
 An :class:`OlsrNode` owns the protocol tables of one device and implements the protocol
 logic independently of how messages are transported, so the same class is driven either by
-the discrete-event simulator (:mod:`repro.sim`) or directly by tests:
+the event-driven :class:`~repro.protocol.simulator.ProtocolSimulator` or directly by tests:
 
-* it *emits* HELLO and TC messages when asked (the simulator schedules the asks);
+* it *emits* HELLO and TC messages when asked (the simulator schedules the asks), numbering
+  every message it originates from its own counter (RFC 3626 §3.4);
 * it *consumes* packets handed to it and returns the packets it wants to transmit in
   response (TC forwarding via the MPR flooding rule, data-packet forwarding via its routing
   table);
 * it runs a pluggable :class:`~repro.core.selection.AnsSelector` to decide its advertised
   set, which is how OLSR, QOLSR and FNBP variants are simulated with the same engine.
+
+Routes are demand-driven: the node recomputes its routing table from its current tables
+whenever it originates or forwards a data packet.
 
 Per Moraru & Simplot-Ryl (and the paper), flooding always uses the RFC 3626 MPR set; the
 selector only controls what is *advertised* (and therefore what everyone routes on).
@@ -34,7 +38,6 @@ from repro.olsr.messages import (
     LinkReport,
     Packet,
     TcMessage,
-    next_sequence_number,
 )
 from repro.olsr.mpr import rfc3626_mpr
 from repro.olsr.neighbor_table import NeighborTable
@@ -81,6 +84,7 @@ class OlsrNode:
         self.mpr_set: frozenset[NodeId] = frozenset()
         self.ans_set: frozenset[NodeId] = frozenset()
         self._ansn = 0
+        self._sequence_number = 0
         self._link_weights: Dict[NodeId, Dict[str, float]] = {
             node: dict(weights) for node, weights in (link_weights or {}).items()
         }
@@ -117,6 +121,11 @@ class OlsrNode:
 
     # ------------------------------------------------------------------ message generation
 
+    def _new_sequence_number(self) -> int:
+        """The node's own Message Sequence Number for its next originated message."""
+        self._sequence_number += 1
+        return self._sequence_number
+
     def make_hello(self) -> HelloMessage:
         """Build the node's periodic HELLO from its current tables."""
         reports = []
@@ -131,7 +140,7 @@ class OlsrNode:
         self.statistics.hellos_sent += 1
         return HelloMessage(
             originator=self.node_id,
-            sequence_number=next_sequence_number(),
+            sequence_number=self._new_sequence_number(),
             links=tuple(reports),
         )
 
@@ -152,7 +161,7 @@ class OlsrNode:
         self.statistics.tcs_sent += 1
         return TcMessage(
             originator=self.node_id,
-            sequence_number=next_sequence_number(),
+            sequence_number=self._new_sequence_number(),
             ansn=self._ansn,
             advertised=advertised,
         )
@@ -212,6 +221,7 @@ class OlsrNode:
         if packet.ttl <= 1:
             self.statistics.data_dropped += 1
             return []
+        self.recompute_routes()
         next_hop = self.routing_table.next_hop(data.destination)
         if next_hop is None:
             self.statistics.data_dropped += 1
@@ -219,15 +229,7 @@ class OlsrNode:
         self.statistics.data_forwarded += 1
         return [packet.forwarded_by(self.node_id)]
 
-    # ------------------------------------------------------------------ periodic maintenance
-
-    def tick(self, now: float) -> None:
-        """Expire stale state and refresh selection and routes (called periodically)."""
-        self.neighbor_table.expire(now)
-        self.topology_table.expire(now)
-        self.duplicates.expire(now)
-        self.refresh_selection()
-        self.recompute_routes()
+    # ------------------------------------------------------------------ routing
 
     def recompute_routes(self) -> None:
         self.routing_table.recompute(self.neighbor_table, self.topology_table)
@@ -235,7 +237,13 @@ class OlsrNode:
     def originate_data(self, destination: NodeId, payload: object = None) -> Optional[Packet]:
         """Create a data packet towards ``destination`` (None when no route exists)."""
         self.statistics.data_originated += 1
-        data = DataPacket(source=self.node_id, destination=destination, payload=payload)
+        data = DataPacket(
+            source=self.node_id,
+            destination=destination,
+            sequence_number=self._new_sequence_number(),
+            payload=payload,
+        )
+        self.recompute_routes()
         if destination != self.node_id and self.routing_table.next_hop(destination) is None:
             self.statistics.data_dropped += 1
             return None

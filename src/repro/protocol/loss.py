@@ -9,10 +9,9 @@ the draw for transmission ``seq`` on link ``src -> dst`` is the same number whet
 trial runs serially, in a ``REPRO_WORKERS`` pool, or in a different process entirely.
 That is the contract that keeps protocol sweeps bit-identical serial vs parallel.
 
-``seq`` deliberately is the radio's own per-directed-link transmission counter, *not* an
-OLSR message sequence number: message sequence numbers come from a process-wide counter
-(:func:`repro.olsr.messages.next_sequence_number`) whose absolute values differ between
-worker processes, so keying loss off them would break the determinism contract.
+``seq`` is the radio's own per-directed-link transmission counter, not an OLSR message
+sequence number: a broadcast is one message but one transmission per receiver, and a
+forwarded TC keeps its originator's number, so only the link counter names each draw.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """The lossy broadcast channel of the event-driven protocol simulator.
 
-Like :class:`repro.sim.radio.IdealRadio`, transmissions reach the sender's current
-neighbors via delivery callbacks scheduled on the shared event queue -- but the network
-here may be *live* (a :class:`~repro.mobility.dynamic.DynamicTopology` mutates it in
-place between windows, and the neighbor set is read at send time), and every individual
-transmission is subjected to the :class:`~repro.protocol.loss.LossModel`.
+Transmissions reach the sender's current neighbors via delivery callbacks scheduled on
+the shared event queue.  The network may be *live* (a
+:class:`~repro.mobility.dynamic.DynamicTopology` mutates it in place between windows, and
+the neighbor set is read at send time), and every individual transmission is subjected
+to the :class:`~repro.protocol.loss.LossModel`.  With ``loss_rate=0`` this is the paper's
+ideal MAC layer: no losses, no collisions.
 
 The radio owns the per-directed-link transmission counters that identify draws: the
 ``seq`` handed to the loss model is "how many transmissions this radio has attempted on
@@ -19,8 +20,8 @@ from typing import Callable, Dict, Tuple
 
 from repro.obs import runtime as obs
 from repro.olsr.messages import Packet
+from repro.protocol.engine import Simulator
 from repro.protocol.loss import LossModel
-from repro.sim.engine import Simulator
 from repro.topology.network import Network
 from repro.utils.ids import NodeId
 

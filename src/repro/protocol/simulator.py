@@ -2,8 +2,9 @@
 
 One :class:`ProtocolSimulator` runs one selection algorithm over one (live) network: a
 full :class:`~repro.olsr.node.OlsrNode` agent per network node, driven by per-node
-asynchronous timers on a shared :class:`~repro.sim.engine.Simulator` event queue, over
-the :class:`~repro.protocol.radio.LossyRadio` control channel.
+asynchronous timers on a shared :class:`~repro.protocol.engine.Simulator` event queue,
+over the :class:`~repro.protocol.radio.LossyRadio` channel.  With a lossless
+:class:`~repro.protocol.loss.LossModel` that channel is the paper's ideal MAC layer.
 
 Per-node behaviour (RFC 3626 shapes, intervals configurable per spec):
 
@@ -20,6 +21,10 @@ Per-node behaviour (RFC 3626 shapes, intervals configurable per spec):
 * **Triggered TC** -- when a received HELLO changes the node's MPR-selector set (someone
   started or stopped announcing it as MPR), a one-shot TC is scheduled after a short
   jitter, RFC 3626's triggered-update rule.  At most one trigger is pending per node.
+* **Data plane** -- :meth:`ProtocolSimulator.send_data` injects one data packet that is
+  forwarded hop by hop by unicast over the same channel, so under loss it can be lost.
+  Routes are demand-driven: a node recomputes them from its current tables when it
+  originates or forwards the packet.  No periodic loop sends or routes data.
 
 Attached to a :class:`~repro.mobility.dynamic.DynamicTopology` via :meth:`attach`, the
 simulator observes every ``advance()`` through the driver's step-listener stream: link
@@ -36,17 +41,19 @@ top, see :mod:`repro.protocol.measures`).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.core.selection import make_selector
 from repro.metrics.base import Metric
 from repro.obs import runtime as obs
-from repro.olsr.messages import HelloMessage, Packet, TcMessage
+from repro.olsr import constants
+from repro.olsr.messages import DataPacket, HelloMessage, Packet, TcMessage
 from repro.olsr.node import OlsrNode
+from repro.protocol.engine import Simulator
 from repro.protocol.loss import LossModel
 from repro.protocol.radio import LossyRadio
 from repro.protocol.trace import EventTrace
-from repro.sim.engine import Simulator
 from repro.topology.network import Network
 from repro.utils.ids import NodeId
 from repro.utils.seeding import derive_seed, spawn_rng
@@ -61,6 +68,18 @@ JITTER_FRACTION = 0.1
 HOLD_PERIODS = 3.0
 
 
+@dataclass(frozen=True)
+class DeliveryReport:
+    """Outcome of injecting one data packet into the simulated network."""
+
+    source: NodeId
+    destination: NodeId
+    delivered: bool
+    path: Tuple[NodeId, ...]
+    value: float
+    hop_count: int
+
+
 class ProtocolSimulator:
     """Per-node OLSR agents exchanging real HELLO/TC traffic over a lossy channel."""
 
@@ -70,8 +89,8 @@ class ProtocolSimulator:
         metric: Metric,
         selector_name: str = "fnbp",
         seed: int = 0,
-        hello_interval: float = 2.0,
-        tc_interval: float = 5.0,
+        hello_interval: float = constants.HELLO_INTERVAL,
+        tc_interval: float = constants.TC_INTERVAL,
         loss_model: Optional[LossModel] = None,
     ) -> None:
         require_positive(hello_interval, "hello_interval")
@@ -204,10 +223,27 @@ class ProtocolSimulator:
             if node.neighbor_table.mpr_selectors() != before:
                 self._trigger_tc(receiver)
             return
+        if isinstance(message, DataPacket):
+            self.trace.record(now, "data-received", receiver, packet_id=message.identifier)
+            for response in node.handle_packet(packet, now=now):
+                self._forward_data(receiver, response)
+            return
         for response in node.handle_packet(packet, now=now):
             if isinstance(response.message, TcMessage):
                 self.trace.record(now, "tc-forwarded", receiver)
             self.radio.broadcast(receiver, response)
+
+    def _forward_data(self, sender: NodeId, packet: Packet) -> None:
+        message = packet.message
+        next_hop = self.nodes[sender].routing_table.next_hop(message.destination)
+        self.trace.record(
+            self.simulator.now,
+            "data-forwarded",
+            sender,
+            packet_id=message.identifier,
+            next_hop=next_hop,
+        )
+        self.radio.unicast(sender, next_hop, packet)
 
     # ------------------------------------------------------------------ topology steps
 
@@ -234,6 +270,42 @@ class ProtocolSimulator:
     def run_until(self, end_time: float) -> None:
         """Advance the protocol to absolute simulation time ``end_time``."""
         self.simulator.run_until(end_time)
+
+    # ------------------------------------------------------------------ data traffic
+
+    def send_data(
+        self,
+        source: NodeId,
+        destination: NodeId,
+        settle_delay: float = 1.0,
+    ) -> DeliveryReport:
+        """Inject one data packet, run ``settle_delay`` further, report how it fared."""
+        if source not in self.nodes or destination not in self.nodes:
+            raise KeyError("source and destination must be simulated nodes")
+        packet = self.nodes[source].originate_data(destination)
+        if packet is None:
+            return DeliveryReport(source, destination, False, (source,), self.metric.worst, 0)
+        packet_id = packet.message.identifier
+        self.trace.record(self.simulator.now, "data-originated", source, packet_id=packet_id)
+        if destination != source:
+            self._forward_data(source, packet)
+        self.run_until(self.simulator.now + settle_delay)
+
+        path = tuple(self.trace.data_packet_path(packet_id))
+        delivered = path[-1] == destination
+        value = self.metric.worst
+        if delivered:
+            value = self.metric.path_value(
+                self.network.link_value(u, v, self.metric) for u, v in zip(path, path[1:])
+            )
+        return DeliveryReport(
+            source=source,
+            destination=destination,
+            delivered=delivered,
+            path=path,
+            value=value,
+            hop_count=len(path) - 1,
+        )
 
     # ------------------------------------------------------------------ observation
 

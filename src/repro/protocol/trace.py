@@ -3,10 +3,8 @@
 The trace records what happened and when (message emissions, triggered TCs, topology
 steps, data-packet hops) so that tests and examples can inspect protocol behaviour --
 e.g. reconstruct the path a data packet actually took, count the control overhead
-generated per protocol variant, or check that a churn step triggered a TC.  Both the
-static end-to-end scenario (:class:`repro.sim.scenario.OlsrSimulation`) and the
-event-driven :class:`~repro.protocol.simulator.ProtocolSimulator` record into the same
-structure.
+generated per protocol variant, or check that a churn step triggered a TC.  The
+event-driven :class:`~repro.protocol.simulator.ProtocolSimulator` records into it.
 """
 
 from __future__ import annotations
@@ -53,8 +51,11 @@ class EventTrace:
         """Number of recorded events per kind."""
         return dict(Counter(event.kind for event in self._events))
 
-    def data_packet_path(self, packet_id: int) -> List[NodeId]:
-        """The sequence of nodes a data packet visited (origination + every reception)."""
+    def data_packet_path(self, packet_id: Tuple[NodeId, int]) -> List[NodeId]:
+        """The nodes a data packet visited (origination + every reception).
+
+        ``packet_id`` is the packet's ``(source, sequence_number)`` identifier.
+        """
         path: List[NodeId] = []
         for event in self._events:
             if event.kind in ("data-originated", "data-received") and event.detail_dict().get("packet_id") == packet_id:

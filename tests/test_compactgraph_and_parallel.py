@@ -31,7 +31,6 @@ from repro.metrics import (
     LexicographicMetric,
     MetricKind,
 )
-from repro.sim import Simulator
 from repro.topology import Network
 
 METRICS = (BandwidthMetric(), DelayMetric())
@@ -243,37 +242,3 @@ class TestParallelRunnerEquivalence:
         monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
         with pytest.raises(ValueError):
             resolve_workers()
-
-
-class TestSimulatorPendingEvents:
-    def test_counter_tracks_schedule_cancel_and_execution(self):
-        simulator = Simulator()
-        handles = [simulator.schedule_at(float(i + 1), lambda: None) for i in range(10)]
-        assert simulator.pending_events() == 10
-        handles[0].cancel()
-        handles[0].cancel()  # double-cancel must not double-count
-        assert simulator.pending_events() == 9
-        simulator.run_until(5.0)
-        assert simulator.pending_events() == 5
-        assert simulator.processed_events == 4
-
-    def test_cancel_after_execution_is_a_no_op(self):
-        simulator = Simulator()
-        handle = simulator.schedule_at(1.0, lambda: None)
-        simulator.run_until(2.0)
-        assert simulator.pending_events() == 0
-        handle.cancel()
-        assert simulator.pending_events() == 0
-
-    def test_mass_cancellation_compacts_the_queue(self):
-        simulator = Simulator()
-        keep = [simulator.schedule_at(1000.0 + i, lambda: None) for i in range(10)]
-        doomed = [simulator.schedule_at(2000.0 + i, lambda: None) for i in range(100)]
-        for handle in doomed:
-            handle.cancel()
-        assert simulator.pending_events() == 10
-        # The lazy purge must have dropped the dead events instead of retaining all 100
-        # until simulated time reaches their timestamps.
-        assert len(simulator._queue) < 30
-        simulator.run_until(3000.0)
-        assert simulator.processed_events == len(keep)

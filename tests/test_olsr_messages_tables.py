@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -13,18 +14,25 @@ from repro.olsr import (
     HelloMessage,
     LinkReport,
     NeighborTable,
+    OlsrNode,
     Packet,
     RoutingTable,
     TcMessage,
     TopologyTable,
-    next_sequence_number,
 )
+
+_sequence_numbers = itertools.count(1)
+
+
+def fresh_sequence_number():
+    """A sequence number no other message built by these tests carries."""
+    return next(_sequence_numbers)
 
 
 def make_hello(originator, links, mpr=()):
     return HelloMessage(
         originator=originator,
-        sequence_number=next_sequence_number(),
+        sequence_number=fresh_sequence_number(),
         links=tuple(
             LinkReport(neighbor=n, weights=w, is_mpr=n in mpr) for n, w in links.items()
         ),
@@ -32,9 +40,13 @@ def make_hello(originator, links, mpr=()):
 
 
 class TestMessages:
-    def test_sequence_numbers_are_monotonic(self):
-        first, second = next_sequence_number(), next_sequence_number()
-        assert second > first
+    def test_sequence_numbers_are_monotonic_per_node(self):
+        node = OlsrNode(1, DelayMetric(), link_weights={2: {"delay": 1.0}})
+        first = node.make_hello().sequence_number
+        node.ans_set = frozenset({2})
+        second = node.make_tc().sequence_number
+        third = node.originate_data(1).message.sequence_number
+        assert first < second < third
 
     def test_hello_reported_neighbors_and_mpr_declaration(self):
         hello = make_hello(1, {2: {"delay": 1.0}, 3: {"delay": 2.0}}, mpr={3})
@@ -45,7 +57,7 @@ class TestMessages:
     def test_tc_advertised_nodes(self):
         tc = TcMessage(
             originator=1,
-            sequence_number=next_sequence_number(),
+            sequence_number=fresh_sequence_number(),
             ansn=4,
             advertised=(AdvertisedLink(2, {"delay": 1.0}), AdvertisedLink(5, {"delay": 3.0})),
         )
@@ -110,7 +122,7 @@ class TestTopologyTable:
     def _tc(self, originator, ansn, advertised):
         return TcMessage(
             originator=originator,
-            sequence_number=next_sequence_number(),
+            sequence_number=fresh_sequence_number(),
             ansn=ansn,
             advertised=tuple(AdvertisedLink(n, w) for n, w in advertised.items()),
         )
@@ -169,7 +181,7 @@ class TestRoutingTable:
         topology.update_from_tc(
             TcMessage(
                 originator=2,
-                sequence_number=next_sequence_number(),
+                sequence_number=fresh_sequence_number(),
                 ansn=1,
                 advertised=(AdvertisedLink(1, {"delay": 2.0}), AdvertisedLink(3, {"delay": 1.0})),
             )

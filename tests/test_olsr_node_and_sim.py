@@ -1,4 +1,4 @@
-"""Tests for the OLSR node state machine, the event engine, the ideal radio and the full
+"""Tests for the OLSR node state machine, the event engine, the radio and the full
 protocol simulation (integration: simulated tables must converge to the graph-level truth)."""
 
 from __future__ import annotations
@@ -8,12 +8,12 @@ import math
 import pytest
 
 from repro.core import FnbpSelector
-from repro.baselines import OlsrMprSelector
 from repro.localview import LocalView
 from repro.metrics import BandwidthMetric, DelayMetric, UniformWeightAssigner
 from repro.olsr import DataPacket, OlsrNode, Packet, constants
-from repro.olsr.messages import HelloMessage, TcMessage
-from repro.sim import IdealRadio, OlsrSimulation, Simulator
+from repro.olsr.messages import HelloMessage, LinkReport, TcMessage
+from repro.olsr.mpr import rfc3626_mpr
+from repro.protocol import LossModel, LossyRadio, ProtocolSimulator, Simulator
 from repro.topology import GridNetworkGenerator, Network
 
 
@@ -29,20 +29,22 @@ class TestSimulatorEngine:
         assert simulator.now == 5.0
         assert simulator.processed_events == 3
 
+    def test_ties_break_by_insertion_order(self):
+        simulator = Simulator()
+        order = []
+        for label in ("first", "second", "third"):
+            simulator.schedule_at(1.0, lambda label=label: order.append(label))
+        simulator.run_until(1.0)
+        assert order == ["first", "second", "third"]
+
     def test_run_until_leaves_future_events_pending(self):
         simulator = Simulator()
-        simulator.schedule_at(10.0, lambda: None)
-        simulator.run_until(5.0)
-        assert simulator.pending_events() == 1
-
-    def test_cancelled_events_do_not_run(self):
-        simulator = Simulator()
         fired = []
-        handle = simulator.schedule_at(1.0, lambda: fired.append(True))
-        handle.cancel()
-        simulator.run_until(2.0)
-        assert fired == []
-        assert handle.cancelled
+        simulator.schedule_at(10.0, lambda: fired.append(True))
+        simulator.run_until(5.0)
+        assert fired == [] and simulator.processed_events == 0
+        simulator.run_until(10.0)
+        assert fired == [True] and simulator.processed_events == 1
 
     def test_scheduling_in_the_past_is_rejected(self):
         simulator = Simulator()
@@ -52,27 +54,21 @@ class TestSimulatorEngine:
             simulator.schedule_at(0.5, lambda: None)
         with pytest.raises(ValueError):
             simulator.schedule_in(-1.0, lambda: None)
-
-    def test_run_all_guards_against_runaway_event_loops(self):
-        simulator = Simulator()
-
-        def reschedule():
-            simulator.schedule_in(0.1, reschedule)
-
-        simulator.schedule_in(0.1, reschedule)
-        with pytest.raises(RuntimeError):
-            simulator.run_all(max_events=50)
+        with pytest.raises(ValueError):
+            simulator.schedule_at(math.nan, lambda: None)
 
 
-class TestIdealRadio:
+class TestLosslessRadio:
+    """``LossyRadio`` over a lossless ``LossModel`` is the paper's ideal MAC layer."""
+
     def _setup(self, line_network):
         simulator = Simulator()
         received = []
-        radio = IdealRadio(
+        radio = LossyRadio(
             network=line_network,
             simulator=simulator,
             deliver=lambda node, packet: received.append((node, packet)),
-            propagation_delay=0.01,
+            loss_model=LossModel(seed=0, propagation_delay=0.01),
         )
         return simulator, radio, received
 
@@ -84,6 +80,7 @@ class TestIdealRadio:
         assert sorted(node for node, _ in received) == [0, 2]
         assert radio.statistics.broadcasts == 1
         assert radio.statistics.deliveries == 2
+        assert radio.statistics.losses == 0
 
     def test_unicast_requires_a_link(self, line_network):
         simulator, radio, received = self._setup(line_network)
@@ -93,18 +90,16 @@ class TestIdealRadio:
         assert [node for node, _ in received] == [1]
         assert radio.statistics.undeliverable_unicasts == 1
 
-    def test_negative_propagation_delay_rejected(self, line_network):
+    def test_negative_propagation_delay_rejected(self):
         with pytest.raises(ValueError):
-            IdealRadio(line_network, Simulator(), lambda *a: None, propagation_delay=-1.0)
+            LossModel(seed=0, propagation_delay=-1.0)
 
 
 class TestOlsrNode:
     def _hello_from(self, origin, links, mpr=()):
-        from repro.olsr.messages import LinkReport, next_sequence_number
-
         return HelloMessage(
             originator=origin,
-            sequence_number=next_sequence_number(),
+            sequence_number=1,
             links=tuple(LinkReport(n, w, is_mpr=n in mpr) for n, w in links.items()),
         )
 
@@ -167,12 +162,12 @@ class TestOlsrNode:
     def test_data_packet_delivery_and_drop(self, delay):
         node = OlsrNode(0, delay)
         delivered = node.handle_packet(
-            Packet(message=DataPacket(source=5, destination=0), sender=1), now=0.0
+            Packet(message=DataPacket(source=5, destination=0, sequence_number=1), sender=1), now=0.0
         )
         assert delivered == []
         assert node.statistics.data_delivered == 1
         dropped = node.handle_packet(
-            Packet(message=DataPacket(source=5, destination=7), sender=1), now=0.0
+            Packet(message=DataPacket(source=5, destination=7, sequence_number=2), sender=1), now=0.0
         )
         assert dropped == []
         assert node.statistics.data_dropped == 1
@@ -190,21 +185,52 @@ def simulated_grid(delay):
     return network
 
 
-class TestOlsrSimulation:
+class TestSequenceNumbers:
+    """Every node numbers its own messages (RFC 3626 §3.4); nothing is process-global."""
+
+    def test_fresh_nodes_emit_identical_sequence_numbers(self, delay):
+        first, second = OlsrNode(0, delay), OlsrNode(0, delay)
+        assert [first.make_hello().sequence_number for _ in range(3)] == [1, 2, 3]
+        assert [second.make_hello().sequence_number for _ in range(3)] == [1, 2, 3]
+
+    def test_messages_and_data_share_the_node_counter(self, delay):
+        node = OlsrNode(0, delay)
+        hello = node.make_hello()
+        packet = node.originate_data(0)
+        assert (hello.sequence_number, packet.message.sequence_number) == (1, 2)
+        assert packet.message.identifier == (0, 2)
+
+    def test_identical_runs_in_one_process_emit_identical_numbers(self, simulated_grid, delay):
+        def run():
+            simulation = ProtocolSimulator(simulated_grid, delay, selector_name="fnbp", seed=5)
+            simulation.run_until(12.0)
+            report = simulation.send_data(0, 8)
+            numbers = {node_id: node.make_hello().sequence_number for node_id, node in simulation.nodes.items()}
+            return numbers, report
+
+        assert run() == run()
+
+
+class TestProtocolSimulatorEndToEnd:
+    """The behaviours the retired ideal-radio scenario pinned, on the one simulator."""
+
+    def _converged(self, network, metric, selector_name):
+        simulation = ProtocolSimulator(network, metric, selector_name=selector_name, seed=5)
+        simulation.run_until(25.0)
+        return simulation
+
     def test_converged_ans_matches_graph_level_selection(self, simulated_grid, delay):
-        simulation = OlsrSimulation(simulated_grid, delay, selector_factory=FnbpSelector, seed=5)
-        simulation.run_until_converged(25.0)
+        simulation = self._converged(simulated_grid, delay, "fnbp")
         expected = {
             node: FnbpSelector().select(LocalView.from_network(simulated_grid, node), delay).selected
             for node in simulated_grid.nodes()
         }
         assert simulation.ans_sets() == expected
+        assert simulation.ans_snapshot() == expected
 
-    def test_converged_mpr_matches_graph_level_mpr(self, simulated_grid, delay):
-        from repro.olsr.mpr import rfc3626_mpr
-
-        simulation = OlsrSimulation(simulated_grid, delay, selector_factory=OlsrMprSelector, seed=5)
-        simulation.run_until_converged(25.0)
+    @pytest.mark.parametrize("selector_name", ["olsr-mpr", "fnbp"])
+    def test_converged_mpr_matches_graph_level_mpr(self, simulated_grid, delay, selector_name):
+        simulation = self._converged(simulated_grid, delay, selector_name)
         expected = {
             node: rfc3626_mpr(LocalView.from_network(simulated_grid, node))
             for node in simulated_grid.nodes()
@@ -212,25 +238,72 @@ class TestOlsrSimulation:
         assert simulation.mpr_sets() == expected
 
     def test_data_delivery_follows_reasonable_paths(self, simulated_grid, delay):
-        simulation = OlsrSimulation(simulated_grid, delay, selector_factory=FnbpSelector, seed=5)
-        simulation.run_until_converged(25.0)
+        simulation = self._converged(simulated_grid, delay, "fnbp")
         report = simulation.send_data(0, 8)
         assert report.delivered
         assert report.path[0] == 0 and report.path[-1] == 8
         assert report.hop_count >= 2  # opposite grid corners cannot be adjacent
+        assert report.hop_count == len(report.path) - 1
         assert math.isfinite(report.value)
+        assert simulation.radio.statistics.unicasts == report.hop_count
+
+    def test_data_to_self_is_delivered_without_transmission(self, simulated_grid, delay):
+        simulation = self._converged(simulated_grid, delay, "fnbp")
+        report = simulation.send_data(4, 4)
+        assert report.delivered and report.path == (4,) and report.hop_count == 0
+        assert report.value == delay.identity
+        assert simulation.radio.statistics.unicasts == 0
+
+    def test_data_without_route_is_not_delivered(self, simulated_grid, delay):
+        simulation = ProtocolSimulator(simulated_grid, delay, seed=5)
+        report = simulation.send_data(0, 8)  # t = 0: no HELLO heard yet, so no route
+        assert not report.delivered
+        assert report.path == (0,) and report.value == delay.worst
 
     def test_control_traffic_is_generated_and_flooded(self, simulated_grid, delay):
-        simulation = OlsrSimulation(simulated_grid, delay, selector_factory=FnbpSelector, seed=5)
-        simulation.run_until_converged(20.0)
+        simulation = ProtocolSimulator(simulated_grid, delay, selector_name="fnbp", seed=5)
+        simulation.run_until(20.0)
         counts = simulation.control_message_counts()
         assert counts["hellos_sent"] > 0
         assert counts["tcs_sent"] > 0
+        assert counts["tcs_forwarded"] > 0
         trace_counts = simulation.trace.counts()
         assert trace_counts.get("hello-sent", 0) == counts["hellos_sent"]
-        assert simulation.average_ans_size() > 0
+        assert any(simulation.ans_sets().values())
 
     def test_send_data_between_unknown_nodes_raises(self, simulated_grid, delay):
-        simulation = OlsrSimulation(simulated_grid, delay, seed=5)
+        simulation = ProtocolSimulator(simulated_grid, delay, seed=5)
         with pytest.raises(KeyError):
             simulation.send_data(0, 999)
+
+    def test_lossy_channel_can_lose_a_data_packet(self, simulated_grid, delay):
+        simulation = ProtocolSimulator(
+            simulated_grid,
+            delay,
+            selector_name="fnbp",
+            seed=5,
+            loss_model=LossModel(seed=9, loss_rate=0.3),
+        )
+        simulation.run_until(25.0)
+        reports = []
+        for _ in range(12):
+            losses_before = simulation.radio.statistics.losses
+            report = simulation.send_data(0, 8, settle_delay=0.1)
+            reports.append((report, simulation.radio.statistics.losses - losses_before))
+        packet_ids = [event.detail_dict()["packet_id"] for event in simulation.trace.events("data-originated")]
+        forwarded_by = {
+            (event.detail_dict()["packet_id"], event.node) for event in simulation.trace.events("data-forwarded")
+        }
+        assert any(report.delivered for report, _ in reports)
+        lost = [
+            (packet_id, report, losses)
+            for packet_id, (report, losses) in zip(packet_ids, reports)
+            if not report.delivered and report.hop_count
+        ]
+        assert lost, "a 30% loss channel should drop some data packet"
+        for packet_id, report, losses in lost:
+            # The last node reached sent the packet on, and the channel counted the loss.
+            assert (packet_id, report.path[-1]) in forwarded_by
+            assert losses >= 1
+            assert report.path[0] == 0 and report.path[-1] != 8
+            assert report.value == delay.worst
